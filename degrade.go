@@ -2,11 +2,9 @@ package imfant
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
 
@@ -65,12 +63,6 @@ func deadlineCheckpoint(parent func() error, deadline time.Time) func() error {
 		}
 		return nil
 	}
-}
-
-// timeoutCheckpoint is deadlineCheckpoint with the budget starting now —
-// the form used by entry points with no queue in front of them.
-func timeoutCheckpoint(parent func() error, d time.Duration) func() error {
-	return deadlineCheckpoint(parent, scanDeadline(d))
 }
 
 // scanGate is the bounded work queue of overload shedding: a channel
@@ -144,26 +136,19 @@ func (g *scanGate) release() {
 }
 
 // noteDegraded folds a scan failure into the Degraded telemetry section,
-// walking joined errors (errors.Join from RunParallel) so every contained
-// worker panic and timeout is accounted individually — the acceptance
-// contract that Stats().Degraded misses no event.
+// one count per cause in the chain (see eachCause), so every contained
+// worker panic and timeout of a joined parallel error is accounted
+// individually — the acceptance contract that Stats().Degraded misses no
+// event.
 func noteDegraded(c *telemetry.Collector, err error) {
-	if err == nil {
-		return
-	}
-	if j, ok := err.(interface{ Unwrap() []error }); ok {
-		for _, sub := range j.Unwrap() {
-			noteDegraded(c, sub)
+	eachCause(err, func(cause int64) {
+		switch cause {
+		case causeWorkerPanic:
+			c.AddWorkerPanics(1)
+		case causeTimeout:
+			c.AddTimeouts(1)
+		case causeShed:
+			c.AddShed(1)
 		}
-		return
-	}
-	var wp *engine.WorkerPanicError
-	switch {
-	case errors.As(err, &wp):
-		c.AddWorkerPanics(1)
-	case errors.Is(err, ErrScanTimeout):
-		c.AddTimeouts(1)
-	case errors.Is(err, ErrOverloaded):
-		c.AddShed(1)
-	}
+	})
 }

@@ -27,9 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ahocorasick"
 	"repro/internal/anml"
-	"repro/internal/dfa"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
 	"repro/internal/hist"
@@ -280,18 +278,6 @@ type Ruleset struct {
 // accelOn resolves the Accel knob: every mode but AccelOff accelerates.
 func (o Options) accelOn() bool { return o.Accel != AccelOff }
 
-// useLazy reports whether scans run on the lazy-DFA engine.
-func (rs *Ruleset) useLazy() bool {
-	switch rs.opts.Engine {
-	case EngineIMFAnt:
-		return false
-	case EngineLazyDFA:
-		return true
-	default:
-		return rs.opts.KeepOnMatch
-	}
-}
-
 // buildEngines lowers the compiled MFSAs into executable programs and their
 // lazy-DFA matchers, and sets up the ruleset-wide telemetry collector.
 func (rs *Ruleset) buildEngines() {
@@ -328,8 +314,9 @@ func (rs *Ruleset) buildEngines() {
 }
 
 // setFaultInjector arms in on every scan and stream subsequently created
-// from the ruleset (already-created Scanners and StreamMatchers keep their
-// configuration). Test-only: the chaos conformance suite schedules fault
+// from the ruleset (the executors of already-created Scanners and
+// StreamMatchers keep their configuration; a Scanner's prefilter gate
+// follows the ruleset's injector). Test-only: the chaos conformance suite schedules fault
 // storms through it; nil disarms.
 func (rs *Ruleset) setFaultInjector(in *faultpoint.Injector) { rs.faults = in }
 
@@ -349,14 +336,7 @@ func Compile(patterns []string, opts Options) (*Ruleset, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("imfant: empty ruleset")
 	}
-	out, _, err := pipeline.Run(pipeline.Request{
-		Patterns:     patterns,
-		Merge:        opts.MergeFactor,
-		Limits:       opts.Limits.pipeline(),
-		FactorMinLen: factorMinLenFor(opts),
-		FactorGroup:  opts.Prefilter == PrefilterOn,
-		Shapes:       opts.Engine == EngineAuto,
-	})
+	out, _, err := pipeline.Run(compileRequest(patterns, opts, false))
 	if err != nil {
 		return nil, wrapCompileError(err)
 	}
@@ -374,15 +354,7 @@ func CompileLax(patterns []string, opts Options) (rs *Ruleset, ruleErrs []RuleEr
 	if len(patterns) == 0 {
 		return nil, nil, fmt.Errorf("imfant: empty ruleset")
 	}
-	out, perrs, err := pipeline.Run(pipeline.Request{
-		Patterns:     patterns,
-		Merge:        opts.MergeFactor,
-		Limits:       opts.Limits.pipeline(),
-		Lax:          true,
-		FactorMinLen: factorMinLenFor(opts),
-		FactorGroup:  opts.Prefilter == PrefilterOn,
-		Shapes:       opts.Engine == EngineAuto,
-	})
+	out, perrs, err := pipeline.Run(compileRequest(patterns, opts, true))
 	for _, pe := range perrs {
 		ruleErrs = append(ruleErrs, RuleError{
 			Rule: pe.Rule, Pattern: pe.Pattern, Stage: pe.Stage, Err: pe.Err,
@@ -394,14 +366,22 @@ func CompileLax(patterns []string, opts Options) (rs *Ruleset, ruleErrs []RuleEr
 	return newRuleset(patterns, out, opts), ruleErrs, nil
 }
 
-// factorMinLenFor returns the factor-extraction threshold to pass to the
-// pipeline: 0 (extraction off) when the prefilter is disabled, the resolved
-// MinFactorLen otherwise.
-func factorMinLenFor(opts Options) int {
-	if opts.Prefilter == PrefilterOff {
-		return 0
+// compileRequest is the pipeline request for a ruleset compiled under opts:
+// factor extraction runs unless the prefilter is off, and the Front-End
+// classifies rule shapes only for the planner (EngineAuto).
+func compileRequest(patterns []string, opts Options, lax bool) pipeline.Request {
+	req := pipeline.Request{
+		Patterns:    patterns,
+		Merge:       opts.MergeFactor,
+		Limits:      opts.Limits.pipeline(),
+		Lax:         lax,
+		FactorGroup: opts.Prefilter == PrefilterOn,
+		Shapes:      opts.Engine == EngineAuto,
 	}
-	return opts.minFactorLen()
+	if opts.Prefilter != PrefilterOff {
+		req.FactorMinLen = opts.minFactorLen()
+	}
+	return req
 }
 
 // wrapCompileError converts a pipeline failure into the public typed form.
@@ -566,7 +546,12 @@ func (rs *Ruleset) FindAllContext(ctx context.Context, input []byte) ([]Match, e
 	// per-worker segments with exact boundary stitching, so the result is
 	// byte-identical to the serial scan (see segment.go).
 	if parts := rs.segmentParts(len(input), 0); parts > 1 {
-		return rs.findAllSegmented(ctx, input, parts)
+		var out []Match
+		if _, err := rs.blockScan(ctx, input, 0, parts, func(m Match) { out = append(out, m) }); err != nil {
+			return nil, err
+		}
+		sortByEnd(out)
+		return out, nil
 	}
 	return rs.NewScanner().FindAllContext(ctx, input)
 }
@@ -603,83 +588,41 @@ func (rs *Ruleset) CountPerRule(input []byte) []int64 {
 	return rs.NewScanner().CountPerRule(input)
 }
 
-// Scanner is a reusable matching context over one Ruleset: the scratch
-// state of every automaton's engine, plus — in lazy-DFA mode — the lazily
-// built transition caches, which stay warm across scans of similar traffic.
-// A Scanner is not safe for concurrent use; create one per goroutine (the
-// shared Ruleset remains concurrency-safe).
+// Scanner is a reusable matching context over one Ruleset: every
+// automaton's executor, with its engine scratch state and — in lazy-DFA mode
+// — the lazily built transition cache, which stays warm across scans of
+// similar traffic. A Scanner is not safe for concurrent use; create one per
+// goroutine (the shared Ruleset remains concurrency-safe).
 type Scanner struct {
-	rs *Ruleset
-	// Per-automaton runners, indexed like rs.programs; exactly one entry is
-	// non-nil per automaton, selected by the plan's strategy for that group
-	// (anchored groups are stateless and have no runner at all).
-	runners  []*engine.Runner             // StrategyIMFAnt groups
-	lazies   []*lazydfa.Runner            // StrategyLazyDFA groups
-	acs      []*ahocorasick.StreamScanner // StrategyAC groups
-	dfaRuns  []*dfa.Runner                // StrategyDFA groups
-	ruleHits []int64                      // per-rule match counts, scanner lifetime
-	timeouts int64                        // scans cut short by Options.ScanTimeout
-	strat    [numStrategies]stratTotals   // scanner-local per-strategy totals
-	faults   *faultpoint.Injector
-
-	// Prefilter scratch; nil/zero while the ruleset is ungated.
-	sweep  *ahocorasick.Sweeper
-	active []bool
-	pref   prefCounters
-}
-
-// stratTotals accumulates one owner's per-strategy activity, feeding the
-// local Stats snapshot's Strategy section (and, for the strategies without a
-// stateful runner, the top-level scan totals too).
-type stratTotals struct {
-	scans, bytes, matches int64
-}
-
-func (t *stratTotals) fold(bytes, matches int64) {
-	t.scans++
-	t.bytes += bytes
-	t.matches += matches
+	rs    *Ruleset
+	execs []executor // indexed like rs.programs
+	local localStats
+	gate  sweepGate // prefilter scratch, reused across scans
 }
 
 // NewScanner returns a matching context for the ruleset.
 func (rs *Ruleset) NewScanner() *Scanner {
-	n := len(rs.programs)
 	s := &Scanner{
-		rs:       rs,
-		runners:  make([]*engine.Runner, n),
-		lazies:   make([]*lazydfa.Runner, n),
-		acs:      make([]*ahocorasick.StreamScanner, n),
-		dfaRuns:  make([]*dfa.Runner, n),
-		ruleHits: make([]int64, len(rs.patterns)),
-		faults:   rs.faults,
+		rs:    rs,
+		execs: make([]executor, len(rs.programs)),
+		local: localStats{ruleHits: make([]int64, len(rs.patterns))},
 	}
-	for i, p := range rs.programs {
-		switch rs.plan.strat[i] {
-		case StrategyLazyDFA:
-			s.lazies[i] = lazydfa.NewRunner(rs.lazy[i])
-		case StrategyAC:
-			s.acs[i] = rs.plan.ac[i].m.NewStreamScanner()
-		case StrategyAnchored:
-			// Stateless: evaluated directly from the plan.
-		case StrategyDFA:
-			s.dfaRuns[i] = dfa.NewRunner(rs.plan.dfas[i])
-		default:
-			s.runners[i] = engine.NewRunner(p)
-		}
+	for i := range s.execs {
+		s.execs[i] = rs.newExec(i)
 	}
 	return s
 }
 
 // Scan streams every match in input to fn, automaton by automaton.
 func (s *Scanner) Scan(input []byte, fn func(Match)) {
-	s.run(context.Background(), input, fn)
+	s.run(context.Background(), input, fn, nil)
 }
 
 // ScanContext is Scan under a context: cancellation stops the scan at the
 // next checkpoint; matches already streamed to fn before that point were
 // delivered, and the context's error is returned.
 func (s *Scanner) ScanContext(ctx context.Context, input []byte, fn func(Match)) error {
-	_, err := s.run(ctx, input, fn)
+	_, err := s.run(ctx, input, fn, nil)
 	return err
 }
 
@@ -690,13 +633,18 @@ func (s *Scanner) FindAllContext(ctx context.Context, input []byte) ([]Match, er
 	if err := s.ScanContext(ctx, input, func(m Match) { out = append(out, m) }); err != nil {
 		return nil, err
 	}
+	sortByEnd(out)
+	return out, nil
+}
+
+// sortByEnd imposes the serial report order: end offset, then rule.
+func sortByEnd(out []Match) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].End != out[j].End {
 			return out[i].End < out[j].End
 		}
 		return out[i].Rule < out[j].Rule
 	})
-	return out, nil
 }
 
 // Count returns the total number of match events in input.
@@ -708,331 +656,106 @@ func (s *Scanner) Count(input []byte) int64 {
 // CountContext is Count under a context; on cancellation it returns the
 // partial count together with the context's error.
 func (s *Scanner) CountContext(ctx context.Context, input []byte) (int64, error) {
-	results, err := s.run(ctx, input, nil)
-	var total int64
-	for _, res := range results {
-		total += res.matches
-	}
-	return total, err
+	return s.run(ctx, input, nil, nil)
 }
 
 // CountPerRule returns the number of match events per rule, indexed like
 // the compiled patterns.
 func (s *Scanner) CountPerRule(input []byte) []int64 {
-	results, _ := s.run(context.Background(), input, nil)
 	out := make([]int64, len(s.rs.patterns))
-	for i, res := range results {
-		for fsa, c := range res.perFSA {
-			out[s.rs.programs[i].Rules()[fsa].RuleID] += c
-		}
-	}
+	s.run(context.Background(), input, nil, out)
 	return out
 }
 
-type scanResult struct {
-	matches int64
-	perFSA  []int64
-}
-
-// run executes every automaton over input. The context is polled at engine
-// checkpoints (DefaultCheckpointEvery bytes); on cancellation the partial
-// results gathered so far are returned with the context's error.
-func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match)) ([]scanResult, error) {
+// run executes every automaton over input and returns the match count;
+// perRule, when non-nil, accumulates the per-rule counts. The context is
+// polled at engine checkpoints (DefaultCheckpointEvery bytes); on
+// cancellation the partial count is returned with the context's error.
+func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule []int64) (int64, error) {
 	rs := s.rs
-	check := timeoutCheckpoint(checkpointOf(ctx), rs.opts.ScanTimeout)
-	if rs.scanLat != nil {
-		defer func(t0 time.Time) { rs.scanLat.Record(time.Since(t0).Nanoseconds()) }(time.Now())
-	}
-	if rs.lat != nil {
-		defer func(t0 time.Time) {
-			rs.lat.Record(telemetry.StageScan, time.Since(t0).Nanoseconds())
-		}(time.Now())
-	}
-	out := make([]scanResult, 0, len(rs.programs))
+	check := deadlineCheckpoint(checkpointOf(ctx), scanDeadline(rs.opts.ScanTimeout))
+	defer rs.scanEnd(rs.scanStart())
+	var total int64
 	if rs.trace != nil {
 		rs.trace.Record(telemetry.Event{Kind: telemetry.EventScanBegin,
 			Automaton: -1, Rule: -1, Offset: -1, Value: int64(len(input))})
 		defer func() {
-			var total int64
-			for _, res := range out {
-				total += res.matches
-			}
 			rs.trace.Record(telemetry.Event{Kind: telemetry.EventScanEnd,
 				Automaton: -1, Rule: -1, Offset: -1, Value: total})
 		}()
 	}
-	gate, err := s.prefilterGate(input, check)
+	gate, err := s.gate.decide(rs, input, check, &s.local.pref)
 	if err != nil {
-		return out, s.noteErr(err)
+		return 0, s.noteErr(err)
 	}
-	for i, p := range rs.programs {
+	for i, e := range s.execs {
 		if check != nil && i > 0 {
 			// Poll between automata too, so a deadline that expired during
 			// automaton i-1's final block (past its last in-chunk
 			// checkpoint) still cuts the scan off deterministically.
 			if err := check(); err != nil {
-				return out, s.noteErr(err)
+				return total, s.noteErr(err)
 			}
 		}
 		if gate != nil && !gate[i] {
-			// No member rule's factor occurred anywhere in input, so none
-			// can match: skip the whole automaton execution.
-			out = append(out, scanResult{})
-			if rs.trace != nil {
-				rs.trace.Record(telemetry.Event{Kind: telemetry.EventPrefilterSkip,
-					Automaton: int32(i), Rule: -1, Offset: -1, Value: int64(len(input))})
-			}
 			continue
-		}
-		var onMatch func(fsa, end int)
-		rules := p.Rules()
-		if fn != nil {
-			onMatch = func(fsa, end int) {
-				fn(Match{Rule: rules[fsa].RuleID, Pattern: rules[fsa].Pattern, End: end})
-			}
-		}
-		if rs.trace != nil {
-			inner := onMatch
-			automaton := i
-			onMatch = func(fsa, end int) {
-				rs.trace.Record(telemetry.Event{Kind: telemetry.EventMatch,
-					Automaton: int32(automaton), Rule: int32(rules[fsa].RuleID),
-					Offset: int64(end), Value: 1})
-				if inner != nil {
-					inner(fsa, end)
-				}
-			}
 		}
 		// Stage timing brackets the whole dispatch, including the degraded
 		// exits — a timed-out automaton's wall clock is exactly the sample
-		// an operator wants attributed. stepErr is handled after the timer
-		// closes so every exit path records.
+		// an operator wants attributed.
 		st0 := rs.stageStart()
-		var stepErr error
-		switch {
-		case s.lazies[i] != nil:
-			res := s.lazies[i].Run(input, lazydfa.Config{
-				KeepOnMatch: rs.opts.KeepOnMatch,
-				MaxStates:   rs.opts.LazyDFAMaxStates,
-				OnMatch:     onMatch,
-				Checkpoint:  check,
-				Accel:       rs.opts.accelOn(),
-				Profile:     rs.profileOf(i),
-				ThrashRetry: rs.opts.thrashRetryOn(),
-				Faults:      s.faults,
-			})
-			s.record(p, res.Matches, int64(res.Symbols), res.PerFSA)
-			rs.collector.AddStrategyBytes(int(StrategyLazyDFA), int64(res.Symbols))
-			s.strat[StrategyLazyDFA].fold(int64(res.Symbols), res.Matches)
-			var thrash, grew, pinned int64
-			if res.Thrashed {
-				thrash = 1
+		err := scanOnce(e, input, check, rs.emitter(i, fn))
+		t := e.totals()
+		rs.stageEnd(telemetry.StrategyStage(int(t.strat)), st0)
+		rs.fold(i, t, &s.local)
+		total += t.matches
+		if perRule != nil {
+			rules := rs.programs[i].Rules()
+			for fsa, n := range t.perFSA {
+				perRule[rules[fsa].RuleID] += n
 			}
-			if res.Grew {
-				grew = 1
-			}
-			if res.Pinned {
-				pinned = 1
-			}
-			if grew != 0 || pinned != 0 {
-				rs.collector.AddLazyDegraded(grew, pinned)
-			}
-			rs.collector.AddLazyScan(res.CacheHits, res.CacheMisses, int64(res.Flushes), thrash)
-			rs.collector.SetCachedStates(i, int64(res.CachedStates))
-			rs.collector.AddAccelScan(res.AccelBytes)
-			rs.collector.SetAccelStates(i, int64(res.AccelStates))
-			if rs.trace != nil {
-				if res.Flushes > 0 {
-					rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyFlush,
-						Automaton: int32(i), Rule: -1, Offset: -1, Value: int64(res.Flushes)})
-				}
-				if res.FellBack {
-					rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyFallback,
-						Automaton: int32(i), Rule: -1, Offset: -1, Value: thrash})
-				}
-				if res.Pinned {
-					rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyPin,
-						Automaton: int32(i), Rule: -1, Offset: -1, Value: 1})
-				}
-			}
-			out = append(out, scanResult{matches: res.Matches, perFSA: res.PerFSA})
-			stepErr = s.lazies[i].Err()
-		case s.acs[i] != nil:
-			res, err := s.runAC(i, input, check, onMatch)
-			out = append(out, res)
-			stepErr = err
-		case s.dfaRuns[i] != nil:
-			res, err := s.runDFA(i, input, check, onMatch)
-			out = append(out, res)
-			stepErr = err
-		case rs.plan.anch[i] != nil:
-			out = append(out, s.runAnchored(i, input, onMatch))
-		default:
-			res := s.runners[i].Run(input, engine.Config{
-				KeepOnMatch: rs.opts.KeepOnMatch,
-				OnMatch:     onMatch,
-				Checkpoint:  check,
-				Accel:       rs.opts.accelOn(),
-				Profile:     rs.profileOf(i),
-				Faults:      s.faults,
-			})
-			s.record(p, res.Matches, int64(res.Symbols), res.PerFSA)
-			rs.collector.AddStrategyBytes(int(StrategyIMFAnt), int64(res.Symbols))
-			s.strat[StrategyIMFAnt].fold(int64(res.Symbols), res.Matches)
-			rs.collector.AddAccelScan(res.AccelBytes)
-			out = append(out, scanResult{matches: res.Matches, perFSA: res.PerFSA})
-			stepErr = s.runners[i].Err()
 		}
-		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
-		if stepErr != nil {
-			return out, s.noteErr(stepErr)
+		if err != nil {
+			return total, s.noteErr(err)
 		}
 	}
-	return out, nil
+	return total, nil
 }
 
-// runAC executes pure-AC group i: the Aho–Corasick scan over the member
-// literals is the whole group execution, and it doubles as the group's
-// factor sweep in the prefilter accounting (satellite of the double-scan
-// fix: these groups are never ALSO swept by the factor prefilter).
-func (s *Scanner) runAC(i int, input []byte, check func() error, onMatch func(fsa, end int)) (scanResult, error) {
-	rs := s.rs
-	sc := s.acs[i]
-	before := sc.Skipped()
-	res, distinct, scanned, err := rs.acScan(i, sc, input, check, s.faults, onMatch)
-	s.record(rs.programs[i], res.matches, scanned, res.perFSA)
-	rs.collector.AddStrategyBytes(int(StrategyAC), scanned)
-	rs.collector.AddAccelScan(sc.Skipped() - before)
-	s.strat[StrategyAC].fold(scanned, res.matches)
-	if rs.prefEnabled {
-		rs.collector.AddPrefilterScan(1, int64(distinct), 0, 0)
-		s.pref.sweeps++
-		s.pref.hits += int64(distinct)
+// emitter adapts fn (and the trace ring's match events) to automaton i's
+// (fsa, end) events; nil when neither wants them, so the engines only count.
+func (rs *Ruleset) emitter(i int, fn func(Match)) func(fsa, end int) {
+	if fn == nil && rs.trace == nil {
+		return nil
 	}
-	return res, err
-}
-
-// runDFA executes eager-DFA group i: one table lookup per byte.
-func (s *Scanner) runDFA(i int, input []byte, check func() error, onMatch func(fsa, end int)) (scanResult, error) {
-	rs := s.rs
-	r := s.dfaRuns[i]
-	res := r.Run(input, dfa.Config{OnMatch: onMatch, Checkpoint: check, Faults: s.faults})
-	s.record(rs.programs[i], res.Matches, res.Symbols, res.PerRule)
-	rs.collector.AddStrategyBytes(int(StrategyDFA), res.Symbols)
-	s.strat[StrategyDFA].fold(res.Symbols, res.Matches)
-	return scanResult{matches: res.Matches, perFSA: res.PerRule}, r.Err()
-}
-
-// runAnchored executes anchored-literal group i: bounded prefix/suffix
-// compares (plus at most one violating-byte hunt) decide every member.
-// The whole input is considered covered — the checks are exact over it.
-func (s *Scanner) runAnchored(i int, input []byte, onMatch func(fsa, end int)) scanResult {
-	rs := s.rs
-	res := rs.anchScan(i, input, onMatch)
-	s.record(rs.programs[i], res.matches, int64(len(input)), res.perFSA)
-	rs.collector.AddStrategyBytes(int(StrategyAnchored), int64(len(input)))
-	s.strat[StrategyAnchored].fold(int64(len(input)), res.matches)
-	return res
+	rules := rs.programs[i].Rules()
+	return func(fsa, end int) {
+		if rs.trace != nil {
+			rs.trace.Record(telemetry.Event{Kind: telemetry.EventMatch,
+				Automaton: int32(i), Rule: int32(rules[fsa].RuleID),
+				Offset: int64(end), Value: 1})
+		}
+		if fn != nil {
+			fn(Match{Rule: rules[fsa].RuleID, Pattern: rules[fsa].Pattern, End: end})
+		}
+	}
 }
 
 // noteErr folds a failed scan into the degradation telemetry (ruleset-wide
 // and the scanner's own timeout counter), records the scan_error trace
 // span, and returns err unchanged.
 func (s *Scanner) noteErr(err error) error {
-	if err != nil {
-		noteDegraded(s.rs.collector, err)
-		if errors.Is(err, ErrScanTimeout) {
-			s.timeouts++
-		}
-		s.rs.traceScanError(err)
+	if errors.Is(err, ErrScanTimeout) {
+		s.local.timeouts++
 	}
-	return err
-}
-
-// record folds one automaton execution into the scanner's per-rule table
-// and the ruleset-wide telemetry collector. Called once per (scan,
-// automaton) — never inside the per-byte loop.
-func (s *Scanner) record(p *engine.Program, matches, symbols int64, perFSA []int64) {
-	c := s.rs.collector
-	c.AddScans(1)
-	c.AddBytes(symbols)
-	c.AddMatches(matches)
-	rules := p.Rules()
-	for fsa, n := range perFSA {
-		if n != 0 {
-			id := rules[fsa].RuleID
-			c.AddRuleHits(id, n)
-			if id >= 0 && id < len(s.ruleHits) {
-				s.ruleHits[id] += n
-			}
-		}
-	}
-}
-
-// acScan is the shared pure-AC group execution: a resumable Aho–Corasick
-// scan over the member literals in checkpoint-sized blocks, reporting every
-// (FSA, end) event. distinct counts member literals seen at least once (the
-// group's factor-sweep hit count) and scanned is how many input bytes were
-// actually consumed before an error, so accounting on the cancel path stays
-// truthful.
-func (rs *Ruleset) acScan(i int, sc *ahocorasick.StreamScanner, input []byte,
-	check func() error, fi *faultpoint.Injector, onMatch func(fsa, end int)) (res scanResult, distinct int, scanned int64, err error) {
-	g := rs.plan.ac[i]
-	sc.Reset()
-	sc.SetAccel(rs.opts.accelOn())
-	res.perFSA = make([]int64, g.rules)
-	seen := make([]bool, g.rules)
-	const block = engine.DefaultCheckpointEvery
-	for off := 0; off < len(input); off += block {
-		if check != nil {
-			if err = check(); err != nil {
-				return res, distinct, scanned, err
-			}
-		}
-		fi.Stall()
-		end := off + block
-		if end > len(input) {
-			end = len(input)
-		}
-		base := off
-		sc.Scan(input[off:end], func(pat, e int) {
-			res.matches++
-			res.perFSA[pat]++
-			if !seen[pat] {
-				seen[pat] = true
-				distinct++
-			}
-			if onMatch != nil {
-				onMatch(pat, base+e)
-			}
-		})
-		scanned = int64(end)
-	}
-	return res, distinct, scanned, nil
-}
-
-// anchScan is the shared anchored-literal group execution: every member is
-// decided by O(len(prefix)+len(suffix)) compares plus at most one vectorized
-// hunt for a byte its middle cannot consume.
-func (rs *Ruleset) anchScan(i int, input []byte, onMatch func(fsa, end int)) scanResult {
-	g := rs.plan.anch[i]
-	res := scanResult{perFSA: make([]int64, len(g.rules))}
-	for fsa := range g.rules {
-		if end, ok := g.rules[fsa].match(input); ok {
-			res.matches++
-			res.perFSA[fsa]++
-			if onMatch != nil {
-				onMatch(fsa, end)
-			}
-		}
-	}
-	return res
+	return s.rs.noteErr(err)
 }
 
 // CountParallel scans input with the paper's multi-threaded scheme
-// (§VI-C2): a pool of `threads` workers each executing whole MFSAs until
-// none remain. It returns the total match count. A panic inside a worker is
-// contained and returned as an error instead of crashing the process.
+// (§VI-C2): a pool of `threads` workers each executing whole MFSAs — every
+// one on the engine the planner assigned it — until none remain. It returns
+// the total match count. A panic inside a worker is contained and returned
+// as an error instead of crashing the process.
 func (rs *Ruleset) CountParallel(input []byte, threads int) (int64, error) {
 	return rs.CountParallelContext(context.Background(), input, threads)
 }
@@ -1047,181 +770,102 @@ func (rs *Ruleset) CountParallelContext(ctx context.Context, input []byte, threa
 	// gets all the workers over its own segment set, instead of whole
 	// automata being dealt out to the pool. Results are byte-identical
 	// (exact boundary stitching — see segment.go).
-	if parts := rs.segmentParts(len(input), threads); parts > 1 {
-		return rs.scanSegmented(ctx, input, parts, nil)
-	}
+	return rs.blockScan(ctx, input, threads, rs.segmentParts(len(input), threads), nil)
+}
+
+// blockScan is the ruleset-level whole-buffer scan behind CountParallel and
+// segmented FindAll: admission gate, deadline, prefilter gating, then either
+// the segment-parallel path (parts > 1) or the §VI-C2 worker pool. fn, when
+// non-nil, receives every match of a segmented scan, grouped by automaton
+// and unsorted.
+func (rs *Ruleset) blockScan(ctx context.Context, input []byte, threads, parts int,
+	fn func(Match)) (int64, error) {
 	// The ScanTimeout budget is anchored BEFORE the admission gate, so time
 	// spent queueing for a slot is charged against the same deadline the
-	// scan runs under (it used to re-arm after acquire, letting a saturated
-	// gate stretch total latency to queue-wait + ScanTimeout).
+	// scan runs under.
 	deadline := scanDeadline(rs.opts.ScanTimeout)
 	if err := rs.sched.acquire(ctx, deadline); err != nil {
-		return 0, rs.noteParallelErr(err)
+		return 0, rs.noteErr(err)
 	}
 	defer rs.sched.release()
-	cfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch,
-		Checkpoint: deadlineCheckpoint(checkpointOf(ctx), deadline),
-		Accel:      rs.opts.accelOn(), Faults: rs.faults}
-	if rs.profiles != nil {
-		defer func(t0 time.Time) { rs.scanLat.Record(time.Since(t0).Nanoseconds()) }(time.Now())
-	}
-	if rs.lat != nil {
-		// The scan stage starts after admission, so queue wait under a
-		// saturated gate is not misattributed to scanning.
-		defer func(t0 time.Time) {
-			rs.lat.Record(telemetry.StageScan, time.Since(t0).Nanoseconds())
-		}(time.Now())
-	}
-	gate, err := rs.prefilterSelect(input, cfg.Checkpoint)
+	check := deadlineCheckpoint(checkpointOf(ctx), deadline)
+	// The scan stage starts after admission, so queue wait under a saturated
+	// gate is not misattributed to scanning.
+	defer rs.scanEnd(rs.scanStart())
+	var g sweepGate
+	gate, err := g.decide(rs, input, check, nil)
 	if err != nil {
-		return 0, rs.noteParallelErr(err)
+		return 0, rs.noteErr(err)
 	}
-	// Strategy-routed groups run inline — their scans are single-automaton
-	// and cheap — while the default-engine groups fan out to the worker
-	// pool. idx maps the executed-program index back to the ruleset
-	// automaton index for profile attribution.
 	var total int64
-	var progs []*engine.Program
-	var idx []int
-	for i := range rs.programs {
-		if gate != nil && !gate[i] {
-			continue
-		}
-		st0 := rs.stageStart()
-		switch rs.plan.strat[i] {
-		case StrategyAC:
-			n, err := rs.countACGroup(i, input, cfg.Checkpoint)
-			rs.stageEnd(telemetry.StageStrategyAC, st0)
-			if err != nil {
-				return 0, rs.noteParallelErr(err)
-			}
-			total += n
-		case StrategyAnchored:
-			total += rs.countAnchoredGroup(i, input, nil)
-			rs.stageEnd(telemetry.StageStrategyAnchored, st0)
-		case StrategyDFA:
-			n, err := rs.countDFAGroup(i, input, cfg.Checkpoint, nil)
-			rs.stageEnd(telemetry.StageStrategyDFA, st0)
-			if err != nil {
-				return 0, rs.noteParallelErr(err)
-			}
-			total += n
-		default:
-			progs = append(progs, rs.programs[i])
-			idx = append(idx, i)
-		}
-	}
-	if rs.profiles != nil && len(progs) > 1 {
-		// Heat-balanced feeding: hand the hottest automata (by sampled state
-		// visits) to the worker pool first. RunParallel's workers pull from
-		// an atomic queue, so descending-cost order approximates LPT
-		// scheduling — the expensive groups start immediately instead of
-		// landing last on an otherwise-drained pool.
-		heat := make([]int64, len(progs))
-		for j := range idx {
-			heat[j] = rs.groupHeat(idx[j])
-		}
-		order := segment.OrderByHeat(heat)
-		sp := make([]*engine.Program, len(progs))
-		si := make([]int, len(idx))
-		for j, o := range order {
-			sp[j], si[j] = progs[o], idx[o]
-		}
-		progs, idx = sp, si
-	}
-	if rs.profiles != nil {
-		cfg.ProfileFor = func(j int) *engine.Profile { return rs.profileOf(idx[j]) }
-	}
-	if len(progs) == 0 {
-		return total, nil
-	}
-	pt0 := rs.stageStart()
-	results, err := engine.RunParallel(progs, input, threads, cfg)
-	rs.stageEnd(telemetry.StageParallel, pt0)
-	def := rs.defaultStrategy()
-	for j, res := range results {
-		rs.collector.AddScans(1)
-		rs.collector.AddBytes(int64(res.Symbols))
-		rs.collector.AddMatches(res.Matches)
-		rs.collector.AddAccelScan(res.AccelBytes)
-		rs.collector.AddStrategyBytes(int(def), int64(res.Symbols))
-		rules := progs[j].Rules()
-		for fsa, n := range res.PerFSA {
-			if n != 0 {
-				rs.collector.AddRuleHits(rules[fsa].RuleID, n)
-			}
-		}
+	if parts > 1 {
+		total, err = rs.scanSegmented(input, parts, gate, check, fn)
+	} else {
+		total, err = rs.scanPool(input, threads, gate, check)
 	}
 	if err != nil {
 		// err may join several workers' failures (panics, timeouts); each
 		// is accounted individually in the Degraded section, and the
 		// scan_error span's cause mask carries the union.
-		return 0, rs.noteParallelErr(err)
+		return 0, rs.noteErr(err)
 	}
-	return total + engine.TotalMatches(results), nil
+	return total, nil
 }
 
-// noteParallelErr is noteErr's ruleset-level sibling for the parallel scan
-// path: degradation counters plus the scan_error trace span.
-func (rs *Ruleset) noteParallelErr(err error) error {
+// scanPool deals the executors of every group the gate admits to the
+// engine worker pool. Executors are fresh per call; a worker panic keeps
+// the partial totals its executor built, which are folded like the rest.
+func (rs *Ruleset) scanPool(input []byte, threads int, gate []bool, check func() error) (int64, error) {
+	var idx []int
+	for i := range rs.programs {
+		if gate == nil || gate[i] {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == 0 {
+		return 0, nil
+	}
+	if rs.profiles != nil && len(idx) > 1 {
+		// Heat-balanced feeding: hand the hottest automata (by sampled state
+		// visits) to the worker pool first. The workers pull from an atomic
+		// queue, so descending-cost order approximates LPT scheduling.
+		heat := make([]int64, len(idx))
+		for j, i := range idx {
+			heat[j] = rs.groupHeat(i)
+		}
+		order := segment.OrderByHeat(heat)
+		sorted := make([]int, len(idx))
+		for j, o := range order {
+			sorted[j] = idx[o]
+		}
+		idx = sorted
+	}
+	execs := make([]executor, len(idx))
+	pt0 := rs.stageStart()
+	err := engine.Parallel(len(idx), threads, rs.faults, check, func(j int, check func() error) error {
+		execs[j] = rs.newExec(idx[j])
+		return scanOnce(execs[j], input, check, rs.emitter(idx[j], nil))
+	})
+	rs.stageEnd(telemetry.StageParallel, pt0)
+	var total int64
+	for j, e := range execs {
+		if e != nil {
+			t := e.totals()
+			rs.fold(idx[j], t, nil)
+			total += t.matches
+		}
+	}
+	return total, err
+}
+
+// noteErr folds a failed scan into the degradation counters and records
+// the scan_error trace span; it returns err unchanged.
+func (rs *Ruleset) noteErr(err error) error {
 	if err != nil {
 		noteDegraded(rs.collector, err)
 		rs.traceScanError(err)
 	}
 	return err
-}
-
-// countACGroup runs pure-AC group i for CountParallel, with a fresh
-// streaming scanner (the parallel path keeps no per-call scratch).
-func (rs *Ruleset) countACGroup(i int, input []byte, check func() error) (int64, error) {
-	sc := rs.plan.ac[i].m.NewStreamScanner()
-	res, distinct, scanned, err := rs.acScan(i, sc, input, check, rs.faults, nil)
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(scanned)
-	rs.collector.AddMatches(res.matches)
-	rs.collector.AddStrategyBytes(int(StrategyAC), scanned)
-	rs.collector.AddAccelScan(sc.Skipped())
-	if rs.prefEnabled {
-		rs.collector.AddPrefilterScan(1, int64(distinct), 0, 0)
-	}
-	rs.foldRuleHits(i, res.perFSA)
-	return res.matches, err
-}
-
-// countAnchoredGroup runs anchored-literal group i for CountParallel and
-// segmented scans; onMatch, when non-nil, receives every (fsa, end) event.
-func (rs *Ruleset) countAnchoredGroup(i int, input []byte, onMatch func(fsa, end int)) int64 {
-	res := rs.anchScan(i, input, onMatch)
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(int64(len(input)))
-	rs.collector.AddMatches(res.matches)
-	rs.collector.AddStrategyBytes(int(StrategyAnchored), int64(len(input)))
-	rs.foldRuleHits(i, res.perFSA)
-	return res.matches
-}
-
-// countDFAGroup runs eager-DFA group i for CountParallel and segmented
-// scans; onMatch, when non-nil, receives every (fsa, end) event.
-func (rs *Ruleset) countDFAGroup(i int, input []byte, check func() error, onMatch func(fsa, end int)) (int64, error) {
-	r := dfa.NewRunner(rs.plan.dfas[i])
-	res := r.Run(input, dfa.Config{Checkpoint: check, Faults: rs.faults, OnMatch: onMatch})
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(res.Symbols)
-	rs.collector.AddMatches(res.Matches)
-	rs.collector.AddStrategyBytes(int(StrategyDFA), res.Symbols)
-	rs.foldRuleHits(i, res.PerRule)
-	return res.Matches, r.Err()
-}
-
-// foldRuleHits attributes per-FSA match counts of automaton i to rule ids in
-// the ruleset collector.
-func (rs *Ruleset) foldRuleHits(i int, perFSA []int64) {
-	rules := rs.programs[i].Rules()
-	for fsa, n := range perFSA {
-		if n != 0 {
-			rs.collector.AddRuleHits(rules[fsa].RuleID, n)
-		}
-	}
 }
 
 // checkpointOf adapts a context to an engine checkpoint; contexts that can

@@ -58,7 +58,15 @@ type Runner struct {
 }
 
 // NewRunner returns a reusable matching context for the DFA.
-func NewRunner(d *DFA) *Runner { return &Runner{d: d} }
+func NewRunner(d *DFA) *Runner {
+	r := new(Runner)
+	r.Init(d)
+	return r
+}
+
+// Init makes r a fresh matching context for d, for callers that hold a
+// Runner by value.
+func (r *Runner) Init(d *DFA) { *r = Runner{d: d} }
 
 // Begin starts a scan. Calling Begin while one is in progress abandons it
 // without folding totals.
@@ -141,6 +149,10 @@ func (r *Runner) End() Result {
 
 // Err returns the Checkpoint error that cancelled the scan, if any.
 func (r *Runner) Err() error { return r.stop }
+
+// Progress returns the current scan's result so far: the live counters of
+// a scan in progress, or the result of the scan End finished.
+func (r *Runner) Progress() Result { return r.res }
 
 // Totals returns the cumulative counters, including a scan in progress.
 func (r *Runner) Totals() Totals {

@@ -38,39 +38,72 @@ func (e *WorkerPanicError) Error() string {
 // measures wall-clock latency around this call, which corresponds to the
 // paper's "latency to compute all the REs of a benchmark".
 //
-// Fault containment: a panic inside a worker (e.g. from a user-supplied
-// OnMatch callback) is recovered and converted into a *WorkerPanicError
-// instead of aborting the process; the automaton's Result slot keeps the
-// partial result accumulated before the panic — every match already
-// delivered through OnMatch and every byte already counted stays visible,
-// so aggregate telemetry remains consistent with what callers observed —
-// and the remaining automata still execute. Checkpoint cancellations
-// (Config.Checkpoint) surface the same way, one error per cancelled
-// automaton. All failures are joined into the returned error.
-//
-// threads ≤ 0 selects min(len(programs), GOMAXPROCS) workers: one worker
-// per program, capped at the scheduler's parallelism — a 10k-automaton
-// ruleset must not launch 10k goroutines for a CPU-bound scan.
+// Fault containment is Parallel's: a panic inside a worker (e.g. from a
+// user-supplied OnMatch callback) surfaces as a *WorkerPanicError, the
+// automaton's Result slot keeps the partial result accumulated before the
+// panic — every match already delivered through OnMatch and every byte of a
+// completed checkpoint block stays visible, so aggregate telemetry remains
+// consistent with what callers observed — and the remaining automata still
+// execute. Checkpoint cancellations (Config.Checkpoint) surface the same
+// way, one error per cancelled automaton. All failures are joined into the
+// returned error.
 func RunParallel(programs []*Program, input []byte, threads int, cfg Config) ([]Result, error) {
 	if len(programs) == 0 {
 		return nil, nil
 	}
+	runners := make([]*Runner, len(programs))
+	err := Parallel(len(programs), threads, cfg.Faults, cfg.Checkpoint, func(i int, check func() error) error {
+		c := cfg
+		c.Checkpoint = check
+		if cfg.ProfileFor != nil {
+			c.Profile = cfg.ProfileFor(i)
+		}
+		runners[i] = NewRunner(programs[i])
+		runners[i].Run(input, c)
+		return runners[i].Err()
+	})
+	results := make([]Result, len(programs))
+	for i, r := range runners {
+		if r != nil {
+			results[i] = r.Progress()
+		}
+	}
+	return results, err
+}
+
+// Parallel is the engine-agnostic worker pool behind the §VI-C2 scheme: a
+// fixed pool of `threads` workers, each taking the next of the n jobs from
+// a lock-free queue until none remain. job(i, check) runs job i and returns
+// its failure; check is the Checkpoint it must poll (the caller's, armed
+// with the WorkerPanic fault site when faults is non-nil). Every job runs
+// under a pprof label carrying its index, so CPU profiles of a parallel
+// scan attribute samples to the automaton that consumed them.
+//
+// A panic inside a job is recovered and converted into a *WorkerPanicError
+// instead of aborting the process; the other jobs still run. Whatever
+// partial state the job built before the panic is the caller's to roll
+// forward. All failures are joined into the returned error.
+//
+// threads ≤ 0 selects min(n, GOMAXPROCS) workers: one worker per job,
+// capped at the scheduler's parallelism — a 10k-automaton ruleset must not
+// launch 10k goroutines for a CPU-bound scan.
+func Parallel(n, threads int, faults *faultpoint.Injector, check func() error,
+	job func(i int, check func() error) error) error {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	if threads > len(programs) {
-		threads = len(programs)
+	if threads > n {
+		threads = n
 	}
-	results := make([]Result, len(programs))
-	errs := make([]error, len(programs))
-	if threads == 1 {
-		for i, p := range programs {
-			results[i], errs[i] = runOne(i, p, input, cfg)
+	errs := make([]error, n)
+	if threads <= 1 {
+		for i := range errs {
+			errs[i] = runJob(i, faults, check, job)
 		}
-		return results, errors.Join(errs...)
+		return errors.Join(errs...)
 	}
-	// Lock-free work queue: a single atomic counter hands out automaton
-	// indices, so workers never contend on a mutex between executions.
+	// Lock-free work queue: a single atomic counter hands out job indices,
+	// so workers never contend on a mutex between executions.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(threads)
@@ -79,52 +112,34 @@ func RunParallel(programs []*Program, input []byte, threads int, cfg Config) ([]
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(programs) {
+				if i >= n {
 					return
 				}
-				results[i], errs[i] = runOne(i, programs[i], input, cfg)
+				errs[i] = runJob(i, faults, check, job)
 			}
 		}()
 	}
 	wg.Wait()
-	return results, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
-// runOne executes a single automaton with panic containment. The execution
-// runs under a pprof label carrying the automaton index, so CPU profiles of
-// a parallel scan attribute samples to the MFSA that consumed them — the
-// per-automaton view needed to decide which rule groups to reshard.
-//
-// Panic accounting rolls forward: the runner's partial Result at the point
-// of the panic is returned alongside the *WorkerPanicError, because the
-// matches it reports were already delivered through OnMatch and its byte
-// counts were already observable through Totals — zeroing the slot would
-// leave Stats() totals claiming work the returned results deny.
-func runOne(i int, p *Program, input []byte, cfg Config) (res Result, err error) {
-	var r *Runner
+// runJob executes job i with panic containment under its pprof label. With
+// a fault injector armed, the WorkerPanic site fires once at the job's
+// start and again at every checkpoint poll, so a panic scheduled past the
+// first hit fires inside the traversal with partial state to salvage.
+func runJob(i int, faults *faultpoint.Injector, check func() error,
+	job func(i int, check func() error) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			if r != nil {
-				// Completed checkpoint blocks and delivered match events up
-				// to the panic; the interrupted block's bytes were never
-				// folded, so Symbols stays exact.
-				res = r.res
-			}
 			err = &WorkerPanicError{Automaton: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	if cfg.ProfileFor != nil {
-		cfg.Profile = cfg.ProfileFor(i)
-	}
-	if cfg.Faults != nil {
-		if cfg.Faults.Hit(faultpoint.WorkerPanic) {
+	if faults != nil {
+		if faults.Hit(faultpoint.WorkerPanic) {
 			panic("faultpoint: injected worker panic")
 		}
-		// Arm the mid-scan site too: every checkpoint poll consults the
-		// schedule, so a WorkerPanic scheduled past the first hit fires
-		// inside the traversal with partial state to salvage.
-		faults, inner := cfg.Faults, cfg.Checkpoint
-		cfg.Checkpoint = func() error {
+		inner := check
+		check = func() error {
 			if faults.Hit(faultpoint.WorkerPanic) {
 				panic("faultpoint: injected worker panic (mid-scan)")
 			}
@@ -135,11 +150,9 @@ func runOne(i int, p *Program, input []byte, cfg Config) (res Result, err error)
 		}
 	}
 	pprof.Do(context.Background(), pprof.Labels("mfsa_automaton", strconv.Itoa(i)), func(context.Context) {
-		r = NewRunner(p)
-		res = r.Run(input, cfg)
-		err = r.Err()
+		err = job(i, check)
 	})
-	return res, err
+	return err
 }
 
 // TotalMatches sums the match counts of a result set.

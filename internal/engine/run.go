@@ -187,7 +187,15 @@ type Runner struct {
 
 // NewRunner returns an execution context for p.
 func NewRunner(p *Program) *Runner {
-	return &Runner{
+	r := new(Runner)
+	r.Init(p)
+	return r
+}
+
+// Init makes r a fresh execution context for p, for callers that hold a
+// Runner by value.
+func (r *Runner) Init(p *Program) {
+	*r = Runner{
 		p:       p,
 		cur:     newVector(p.numStates, p.words),
 		nxt:     newVector(p.numStates, p.words),
@@ -503,6 +511,11 @@ func (r *Runner) End() Result {
 	}
 	return r.res
 }
+
+// Progress returns the current scan's result so far: the live counters of
+// a scan in progress (bytes of completed blocks, matches already
+// delivered), or the result of the scan End finished.
+func (r *Runner) Progress() Result { return r.res }
 
 // Totals returns the runner's cumulative counters: every finished scan plus
 // the live state of an in-progress one. Reading them costs nothing on the

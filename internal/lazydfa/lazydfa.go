@@ -322,7 +322,15 @@ type Runner struct {
 
 // NewRunner returns an execution context with an empty cache.
 func NewRunner(m *Matcher) *Runner {
-	r := &Runner{
+	r := new(Runner)
+	r.Init(m)
+	return r
+}
+
+// Init makes r a fresh execution context for m with an empty cache, for
+// callers that hold a Runner by value.
+func (r *Runner) Init(m *Matcher) {
+	*r = Runner{
 		m:         m,
 		stepper:   engine.NewStepper(m.p),
 		index:     make(map[string]int32),
@@ -331,7 +339,6 @@ func NewRunner(m *Matcher) *Runner {
 		fbSeenEnd: -1,
 	}
 	r.resetCache()
-	return r
 }
 
 // Run scans input as one whole stream.
@@ -778,6 +785,20 @@ func (r *Runner) End() Result {
 		}
 	}
 	return r.res
+}
+
+// Progress returns the current scan's result so far, with the derived
+// counters End fills in — cache hits, the live cache gauges and the
+// fallback engine's skips — computed for a scan still in progress too.
+func (r *Runner) Progress() Result {
+	res := r.res
+	res.CachedStates = len(r.states)
+	res.AccelStates = r.accelStates
+	res.CacheHits = r.cachedSymbols - res.CacheMisses
+	if !r.ended && r.fb != nil {
+		res.AccelBytes += r.fb.Totals().AccelBytes
+	}
+	return res
 }
 
 // Totals returns the runner's cumulative counters: every finished scan plus

@@ -99,6 +99,9 @@ type Result struct {
 	CacheHits, CacheMisses int64
 	Flushes                int64
 	Thrashes               int64
+	// CachedStates and AccelStates are the largest worker transition cache
+	// built, and its accelerable states (gauges, like the lazy engine's).
+	CachedStates, AccelStates int
 }
 
 // Boundaries cuts n bytes into parts near-equal contiguous segments and
@@ -135,9 +138,10 @@ type workerOut struct {
 	accel    int64
 	frontier []engine.Activation
 
-	hits, misses int64
-	flushes      int
-	thrashed     bool
+	hits, misses        int64
+	flushes             int
+	thrashed            bool
+	cached, accelStates int
 
 	err error
 }
@@ -183,6 +187,8 @@ func Scan(g Group, input []byte, bounds []int, emit func(fsa, end int)) (Result,
 		if outs[k].thrashed {
 			res.Thrashes++
 		}
+		res.CachedStates = max(res.CachedStates, outs[k].cached)
+		res.AccelStates = max(res.AccelStates, outs[k].accelStates)
 		if outs[k].err != nil {
 			errs = append(errs, outs[k].err)
 		}
@@ -277,6 +283,7 @@ func (g *Group) runWorker(input []byte, start, end int, final bool) (out workerO
 		out.symbols, out.accel = res.Symbols, res.AccelBytes
 		out.hits, out.misses = res.CacheHits, res.CacheMisses
 		out.flushes, out.thrashed = res.Flushes, res.Thrashed
+		out.cached, out.accelStates = res.CachedStates, res.AccelStates
 		out.err = r.Err()
 		return out
 	}
@@ -436,10 +443,14 @@ type ACResult struct {
 	Matches int64
 	// PerPattern counts occurrences per pattern id.
 	PerPattern []int64
-	// ScannedBytes is the total bytes scanned across workers: the input
-	// plus the overlap windows (at most (parts-1)·(MaxPatternLen-1) extra).
+	// ScannedBytes is the total bytes scanned across workers inside their
+	// own segments — the input length once every worker finished. The
+	// overlap windows (at most MaxPatternLen-1 bytes of left context per
+	// boundary) only rebuild the automaton state, report nothing, and are
+	// not counted, so a segmented scan books the bytes a serial one does.
 	ScannedBytes int64
-	// SkippedBytes counts bytes jumped by root-state acceleration.
+	// SkippedBytes counts in-segment bytes jumped by root-state
+	// acceleration.
 	SkippedBytes int64
 }
 
@@ -482,7 +493,10 @@ func ScanAC(m *ahocorasick.Matcher, input []byte, bounds []int, accel bool,
 		}
 		s := m.NewStreamScanner()
 		s.SetAccel(accel)
-		for off := wstart; off < hi; off += every {
+		// Left context: every match ending here belongs to segment k-1.
+		s.Scan(input[wstart:lo], func(int, int) {})
+		ctxSkipped := s.Skipped()
+		for off := lo; off < hi; off += every {
 			if check != nil {
 				if err := check(); err != nil {
 					out.err = err
@@ -495,13 +509,11 @@ func ScanAC(m *ahocorasick.Matcher, input []byte, bounds []int, accel bool,
 			}
 			base := off
 			s.Scan(input[off:stop], func(pat, end int) {
-				if abs := base + end; abs >= lo {
-					out.events = append(out.events, Event{FSA: pat, End: abs})
-				}
+				out.events = append(out.events, Event{FSA: pat, End: base + end})
 			})
 			out.scanned += int64(stop - off)
 		}
-		out.skipped = s.Skipped()
+		out.skipped = s.Skipped() - ctxSkipped
 		return out
 	}
 	if parts == 1 {

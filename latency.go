@@ -56,6 +56,29 @@ func (rs *Ruleset) stageEnd(s telemetry.Stage, t0 time.Time) {
 	rs.lat.Record(s, time.Since(t0).Nanoseconds())
 }
 
+// scanStart opens a whole-scan timer for the profiler's scan-latency
+// histogram and the scan stage: the zero time when neither is on.
+func (rs *Ruleset) scanStart() time.Time {
+	if rs.scanLat == nil && rs.lat == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// scanEnd closes a timer opened by scanStart.
+func (rs *Ruleset) scanEnd(t0 time.Time) {
+	if t0.IsZero() {
+		return
+	}
+	ns := time.Since(t0).Nanoseconds()
+	if rs.scanLat != nil {
+		rs.scanLat.Record(ns)
+	}
+	if rs.lat != nil {
+		rs.lat.Record(telemetry.StageScan, ns)
+	}
+}
+
 // Degradation-cause bits of a scan_error trace event's Value: the cause
 // chain of a failed or degraded scan, OR-combined because a joined error
 // from a parallel scan can carry several at once.
@@ -70,33 +93,38 @@ const (
 	causeWorkerPanic
 )
 
-// causeMask folds err's degradation-cause chain into the scan_error bit
-// encoding, walking joined errors like noteDegraded does. ErrScanTimeout
-// is tested before the generic context deadline because it wraps
-// context.DeadlineExceeded — the specific rung wins over the generic one.
-func causeMask(err error) int64 {
-	if err == nil {
-		return 0
-	}
+// eachCause calls fn with the cause bit of every failure in err's chain,
+// walking joined errors (errors.Join from the worker pool) so each
+// sub-error counts once. ErrScanTimeout is tested before the generic
+// context deadline because it wraps context.DeadlineExceeded — the specific
+// rung wins over the generic one.
+func eachCause(err error, fn func(cause int64)) {
 	if j, ok := err.(interface{ Unwrap() []error }); ok {
-		var m int64
 		for _, sub := range j.Unwrap() {
-			m |= causeMask(sub)
+			eachCause(sub, fn)
 		}
-		return m
+		return
 	}
 	var wp *engine.WorkerPanicError
 	switch {
+	case err == nil:
 	case errors.As(err, &wp):
-		return causeWorkerPanic
+		fn(causeWorkerPanic)
 	case errors.Is(err, ErrScanTimeout):
-		return causeTimeout
+		fn(causeTimeout)
 	case errors.Is(err, ErrOverloaded):
-		return causeShed
+		fn(causeShed)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return causeCanceled
+		fn(causeCanceled)
 	}
-	return 0
+}
+
+// causeMask folds err's degradation-cause chain into the scan_error bit
+// encoding.
+func causeMask(err error) int64 {
+	var m int64
+	eachCause(err, func(cause int64) { m |= cause })
+	return m
 }
 
 // causeNames decodes a scan_error cause mask into its rung names, in bit

@@ -110,6 +110,19 @@ func (pl *scanPlan) gatable(i int) bool {
 	return pl.strat[i] != StrategyAC && pl.strat[i] != StrategyAnchored
 }
 
+// segmentable reports whether group i runs segment-parallel with boundary
+// stitching (a default-engine group) and whether its workers run the lazy
+// DFA. AC groups segment by overlap windows instead (see segment.go).
+func (pl *scanPlan) segmentable(i int) (ok, lazy bool) {
+	switch pl.strat[i] {
+	case StrategyIMFAnt:
+		return true, false
+	case StrategyLazyDFA:
+		return true, true
+	}
+	return false, false
+}
+
 // literalCounts returns the number of rules in AC-routed groups and of
 // distinct literals among them, for the prefilter config section (the AC
 // scans report into the prefilter counters as that many sweeps' factor
@@ -141,9 +154,10 @@ func (rs *Ruleset) Strategies() []Strategy {
 }
 
 // defaultStrategy resolves the engine groups fall to when no fast shape
-// applies, mirroring useLazy.
+// applies: the forced Options.Engine, else the lazy DFA whenever its keep
+// semantics apply (KeepOnMatch) and iMFAnt otherwise.
 func (rs *Ruleset) defaultStrategy() Strategy {
-	if rs.useLazy() {
+	if rs.opts.Engine == EngineLazyDFA || (rs.opts.Engine != EngineIMFAnt && rs.opts.KeepOnMatch) {
 		return StrategyLazyDFA
 	}
 	return StrategyIMFAnt
@@ -301,65 +315,6 @@ func finalsAreSinks(a *nfa.NFA) bool {
 	}
 	for _, t := range a.Trans {
 		if final[t.From] {
-			return false
-		}
-	}
-	return true
-}
-
-// match evaluates one anchored rule against a whole input block, returning
-// the single possible match end. `^` means stream offset 0 and `$` means
-// end of stream, so a block scan sees both boundaries at once.
-func (r *anchRule) match(input []byte) (end int, ok bool) {
-	sh := &r.sh
-	p, s := len(sh.Prefix), len(sh.Suffix)
-	switch {
-	case sh.AnchorStart && sh.AnchorEnd && !sh.HasMiddle:
-		// `^lit$`: exact equality (the classifier folds all bytes into
-		// Prefix).
-		if len(input) == p && p > 0 && hasPrefix(input, sh.Prefix) {
-			return p - 1, true
-		}
-	case sh.AnchorStart && !sh.AnchorEnd:
-		// `^lit`: one event where the prefix completes.
-		if len(input) >= p && hasPrefix(input, sh.Prefix) {
-			return p - 1, true
-		}
-	case !sh.AnchorStart && sh.AnchorEnd:
-		// `lit$`: one event at the last byte.
-		if len(input) >= s && s > 0 && hasSuffix(input, sh.Suffix) {
-			return len(input) - 1, true
-		}
-	default:
-		// `^prefix<set>{m,}suffix$`.
-		if len(input) >= r.minLen && len(input) > 0 &&
-			hasPrefix(input, sh.Prefix) && hasSuffix(input, sh.Suffix) &&
-			(!r.hasBad || r.bad.Index(input[p:len(input)-s]) < 0) {
-			return len(input) - 1, true
-		}
-	}
-	return 0, false
-}
-
-func hasPrefix(in, lit []byte) bool {
-	if len(in) < len(lit) {
-		return false
-	}
-	for i, b := range lit {
-		if in[i] != b {
-			return false
-		}
-	}
-	return true
-}
-
-func hasSuffix(in, lit []byte) bool {
-	if len(in) < len(lit) {
-		return false
-	}
-	off := len(in) - len(lit)
-	for i, b := range lit {
-		if in[off+i] != b {
 			return false
 		}
 	}

@@ -9,23 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// wakeAll is the PrefilterWake fault: the sweeper desyncs and every gated
-// automaton is spuriously woken (reported active without a sweep). Waking is
-// always sound — the prefilter only ever elides provably dead work — so the
-// fault adversarially exercises the ungated paths without changing results.
-// Returns nil (no injector, or the point did not fire) or the all-active
-// mask.
-func wakeAll(in *faultpoint.Injector, n int) []bool {
-	if !in.Hit(faultpoint.PrefilterWake) {
-		return nil
-	}
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	return active
-}
-
 // PrefilterMode selects the literal-factor prefilter stage (Hyperscan-style
 // decomposition, §II of the paper's related work): at compile time every
 // rule is analysed for a required literal factor — a string that occurs in
@@ -210,36 +193,32 @@ type prefCounters struct {
 	sweeps, hits, skipped, saved int64
 }
 
-// stats converts the counters to the public shape; nil when no literal
-// gating (factor sweep or AC-routed groups) is live on the ruleset.
-func (p *prefCounters) stats(rs *Ruleset) *PrefilterStats {
-	if !rs.prefEnabled {
-		return nil
-	}
-	return &PrefilterStats{
-		FilterableRules: rs.prefRules,
-		Factors:         rs.prefFactors,
-		Sweeps:          p.sweeps,
-		FactorHits:      p.hits,
-		GroupsSkipped:   p.skipped,
-		BytesSaved:      p.saved,
-	}
+// sweepGate is the prefilter scratch of one scan owner: a Scanner reuses
+// its sweeper and mask across scans, a ruleset-level scan starts from a
+// fresh one.
+type sweepGate struct {
+	sw     ahocorasick.Sweeper // held by value: a fresh gate stays on its caller's stack
+	active []bool              // nil until the first sweep
 }
 
-// prefilterGate sweeps input through the factor automaton and returns the
+// decide sweeps input through the factor automaton and returns the
 // per-automaton activation mask, or nil when every automaton must run
-// (prefilter inactive). The sweep polls check between blocks so hostile
-// inputs cannot wedge a cancellable scan inside the prefilter. Counters are
-// folded into the ruleset collector and the scanner's local totals; trace
-// skip events are the caller's job (it knows the skip sites).
-func (s *Scanner) prefilterGate(input []byte, check func() error) ([]bool, error) {
-	rs := s.rs
+// (prefilter inactive, or the tracker elided the sweep). The sweep polls
+// check between blocks so hostile inputs cannot wedge a cancellable scan
+// inside the prefilter. Counters fold into the ruleset collector and — when
+// local is non-nil — the owner's own; every skipped group records its
+// prefilter_skip trace event here.
+func (g *sweepGate) decide(rs *Ruleset, input []byte, check func() error, local *prefCounters) ([]bool, error) {
 	pf := rs.pf
 	if pf == nil {
 		return nil, nil
 	}
-	if active := wakeAll(s.faults, len(rs.programs)); active != nil {
-		return active, nil
+	if rs.faults.Hit(faultpoint.PrefilterWake) {
+		// The injected sweeper desync spuriously wakes every gated group.
+		// Waking is always sound — the prefilter only ever elides provably
+		// dead work — so the fault exercises the ungated paths adversarially
+		// without changing results.
+		return nil, nil
 	}
 	run, probe := rs.tracker.decide()
 	if !run {
@@ -251,34 +230,22 @@ func (s *Scanner) prefilterGate(input []byte, check func() error) ([]bool, error
 	if probe {
 		rs.collector.AddSweepProbes(1)
 	}
-	if s.sweep == nil {
-		s.sweep = pf.ac.NewSweeper()
-		s.sweep.SetAccel(rs.opts.accelOn())
+	if g.active == nil {
+		g.sw = *pf.ac.NewSweeper()
+		g.sw.SetAccel(rs.opts.accelOn())
+		g.active = make([]bool, len(rs.programs))
 	} else {
-		s.sweep.Reset()
+		g.sw.Reset()
 	}
 	st0 := rs.stageStart()
-	const block = engine.DefaultCheckpointEvery
-	for off := 0; off < len(input) && !s.sweep.Done(); off += block {
-		if check != nil {
-			if err := check(); err != nil {
-				rs.stageEnd(telemetry.StagePrefilter, st0)
-				return nil, err
-			}
-		}
-		end := off + block
-		if end > len(input) {
-			end = len(input)
-		}
-		s.sweep.Sweep(input[off:end])
-	}
+	err := sweepBlocks(&g.sw, input, check)
 	rs.stageEnd(telemetry.StagePrefilter, st0)
-	if s.active == nil {
-		s.active = make([]bool, len(rs.programs))
+	if err != nil {
+		return nil, err
 	}
 	var skipped int64
-	for i := range s.active {
-		woke := pf.active(i, s.sweep)
+	for i := range g.active {
+		woke := pf.active(i, &g.sw)
 		act := woke
 		if !pf.groupAlways[i] {
 			// A gate the tracker disabled runs its group regardless of the
@@ -288,80 +255,43 @@ func (s *Scanner) prefilterGate(input []byte, check func() error) ([]bool, error
 			}
 			rs.tracker.observe(i, woke)
 		}
-		s.active[i] = act
+		g.active[i] = act
 		if !act {
 			skipped++
+			rs.traceSkip(i, int64(len(input)))
 		}
 	}
 	rs.collector.SetGroupsUngated(rs.tracker.disabledNow())
-	saved := skipped * int64(len(input))
-	s.pref.sweeps++
-	s.pref.hits += int64(s.sweep.Seen())
-	s.pref.skipped += skipped
-	s.pref.saved += saved
-	rs.collector.AddPrefilterScan(1, int64(s.sweep.Seen()), skipped, saved)
-	return s.active, nil
+	hits, saved := int64(g.sw.Seen()), skipped*int64(len(input))
+	rs.collector.AddPrefilterScan(1, hits, skipped, saved)
+	if local != nil {
+		local.sweeps++
+		local.hits += hits
+		local.skipped += skipped
+		local.saved += saved
+	}
+	return g.active, nil
 }
 
-// prefilterSelect is the Ruleset-level counterpart of Scanner.prefilterGate
-// for CountParallel: it allocates its own sweeper (the parallel path is
-// coarse-grained enough for that), folds collector counters, records trace
-// skip events, and returns the activation mask or nil when ungated.
-func (rs *Ruleset) prefilterSelect(input []byte, check func() error) ([]bool, error) {
-	pf := rs.pf
-	if pf == nil {
-		return nil, nil
-	}
-	if active := wakeAll(rs.faults, len(rs.programs)); active != nil {
-		return active, nil
-	}
-	run, probe := rs.tracker.decide()
-	if !run {
-		rs.collector.AddSweepsElided(1)
-		return nil, nil
-	}
-	if probe {
-		rs.collector.AddSweepProbes(1)
-	}
-	sw := pf.ac.NewSweeper()
-	sw.SetAccel(rs.opts.accelOn())
-	st0 := rs.stageStart()
+// sweepBlocks feeds input to sw in checkpoint-sized blocks, polling check
+// (when non-nil) before each, until the input ends or every factor was seen.
+func sweepBlocks(sw *ahocorasick.Sweeper, input []byte, check func() error) error {
 	const block = engine.DefaultCheckpointEvery
 	for off := 0; off < len(input) && !sw.Done(); off += block {
 		if check != nil {
 			if err := check(); err != nil {
-				rs.stageEnd(telemetry.StagePrefilter, st0)
-				return nil, err
+				return err
 			}
 		}
-		end := off + block
-		if end > len(input) {
-			end = len(input)
-		}
-		sw.Sweep(input[off:end])
+		sw.Sweep(input[off:min(off+block, len(input))])
 	}
-	rs.stageEnd(telemetry.StagePrefilter, st0)
-	active := make([]bool, len(rs.programs))
-	var skipped int64
-	for i := range active {
-		woke := pf.active(i, sw)
-		act := woke
-		if !pf.groupAlways[i] {
-			if rs.tracker.isDisabled(i) {
-				act = true
-			}
-			rs.tracker.observe(i, woke)
-		}
-		active[i] = act
-		if !act {
-			skipped++
-			if rs.trace != nil {
-				rs.trace.Record(telemetry.Event{Kind: telemetry.EventPrefilterSkip,
-					Automaton: int32(i), Rule: -1, Offset: -1, Value: int64(len(input))})
-			}
-		}
+	return nil
+}
+
+// traceSkip records the prefilter_skip event of a group whose execution
+// over n input bytes the prefilter elided.
+func (rs *Ruleset) traceSkip(i int, n int64) {
+	if rs.trace != nil {
+		rs.traceGroup(telemetry.EventPrefilterSkip, i, n)
 	}
-	rs.collector.SetGroupsUngated(rs.tracker.disabledNow())
-	rs.collector.AddPrefilterScan(1, int64(sw.Seen()), skipped, skipped*int64(len(input)))
-	return active, nil
 }

@@ -1,13 +1,8 @@
 package imfant
 
 import (
-	"context"
 	"runtime"
-	"sort"
-	"time"
 
-	"repro/internal/engine"
-	"repro/internal/lazydfa"
 	"repro/internal/segment"
 	"repro/internal/telemetry"
 )
@@ -36,16 +31,6 @@ const (
 	// in active MFSA states.
 	DefaultSegmentMaxFrontier = 64
 )
-
-// localSegmentStats builds the Segment stats section for a Scanner or
-// StreamMatcher scope, whose scans are never segmented: the whole byte count
-// is serial. Nil when segmentation is disabled, matching the ruleset scope.
-func (rs *Ruleset) localSegmentStats(bytes int64) *SegmentStats {
-	if rs.opts.Segment == SegmentOff {
-		return nil
-	}
-	return &SegmentStats{SerialBytes: bytes}
-}
 
 // segmentParts resolves the segment count for an n-byte scan: 0 means "do
 // not segment" (mode off, input below the auto threshold, or only one worker
@@ -102,228 +87,88 @@ func (rs *Ruleset) groupHeat(i int) int64 {
 	return total
 }
 
-// scanSegmented is the segment-parallel ruleset scan behind CountParallel
-// and FindAll on large buffers. It mirrors CountParallelContext's shape —
-// admission gate, deadline, prefilter gating, per-group strategy dispatch —
-// but cuts the input into parts segments and runs each group's default- or
+// scanSegmented is the segment-parallel half of blockScan: it cuts the
+// input into parts segments and runs each admitted group's default- or
 // AC-strategy scan segment-parallel with exact boundary stitching (package
-// segment). Anchored and eager-DFA groups run serially: their scans are
-// O(1) or a single cache-resident sweep, and segmenting them buys nothing.
-// emit, when non-nil, receives every event; events arrive grouped by
-// automaton, unsorted.
-func (rs *Ruleset) scanSegmented(ctx context.Context, input []byte, parts int,
-	emit func(automaton, fsa, end int)) (int64, error) {
-	deadline := scanDeadline(rs.opts.ScanTimeout)
-	if err := rs.sched.acquire(ctx, deadline); err != nil {
-		return 0, rs.noteParallelErr(err)
-	}
-	defer rs.sched.release()
-	check := deadlineCheckpoint(checkpointOf(ctx), deadline)
-	if rs.profiles != nil {
-		defer func(t0 time.Time) { rs.scanLat.Record(time.Since(t0).Nanoseconds()) }(time.Now())
-	}
-	if rs.lat != nil {
-		defer func(t0 time.Time) {
-			rs.lat.Record(telemetry.StageScan, time.Since(t0).Nanoseconds())
-		}(time.Now())
-	}
-	gate, err := rs.prefilterSelect(input, check)
-	if err != nil {
-		return 0, rs.noteParallelErr(err)
-	}
+// segment). Anchored and eager-DFA groups, and groups pinned serial by
+// segSerial, run through their executors instead: their scans are O(1) or a
+// single cache-resident sweep, and segmenting them buys nothing. fn, when
+// non-nil, receives every match.
+func (rs *Ruleset) scanSegmented(input []byte, parts int, gate []bool, check func() error,
+	fn func(Match)) (int64, error) {
 	bounds := segment.Boundaries(len(input), parts)
 	var total int64
 	for i := range rs.programs {
 		if gate != nil && !gate[i] {
 			continue
 		}
-		var groupEmit func(fsa, end int)
-		if emit != nil {
-			automaton := i
-			groupEmit = func(fsa, end int) { emit(automaton, fsa, end) }
-		}
-		var n int64
+		groupEmit := rs.emitter(i, fn)
+		var t execTotals
 		var err error
 		st0 := rs.stageStart()
-		switch rs.plan.strat[i] {
-		case StrategyAC:
-			n, err = rs.segmentACGroup(i, input, bounds, check, groupEmit)
-			rs.stageEnd(telemetry.StageSegment, st0)
-		case StrategyAnchored:
-			n = rs.countAnchoredGroup(i, input, groupEmit)
-			rs.stageEnd(telemetry.StageStrategyAnchored, st0)
-		case StrategyDFA:
-			n, err = rs.countDFAGroup(i, input, check, groupEmit)
-			rs.stageEnd(telemetry.StageStrategyDFA, st0)
+		segmentable, lazy := rs.plan.segmentable(i)
+		switch {
+		case rs.plan.ac[i] != nil:
+			t, err = rs.segmentACGroup(i, input, bounds, check, groupEmit)
+		case segmentable && !rs.segSerial[i].Load():
+			t, err = rs.segmentGroup(i, lazy, input, bounds, check, groupEmit)
 		default:
-			if rs.segSerial[i].Load() {
-				n, err = rs.serialDefaultGroup(i, input, check, groupEmit)
-				rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
-			} else {
-				n, err = rs.segmentDefaultGroup(i, input, bounds, check, groupEmit)
-				rs.stageEnd(telemetry.StageSegment, st0)
-			}
+			e := rs.newExec(i)
+			err = scanOnce(e, input, check, groupEmit)
+			t = e.totals()
 		}
+		if t.segments > 0 {
+			rs.stageEnd(telemetry.StageSegment, st0)
+		} else {
+			rs.stageEnd(telemetry.StrategyStage(int(t.strat)), st0)
+		}
+		rs.fold(i, t, nil)
 		if err != nil {
-			return 0, rs.noteParallelErr(err)
+			return 0, err
 		}
-		total += n
+		total += t.matches
 	}
 	return total, nil
 }
 
-// segmentDefaultGroup runs default-strategy group i segment-parallel: iMFAnt
-// or lazy-DFA workers per segment plus the sequential boundary stitch. A
-// scan whose boundary carry exceeds the frontier budget completes exactly
-// but pins the group serial for subsequent segmented scans.
-func (rs *Ruleset) segmentDefaultGroup(i int, input []byte, bounds []int,
-	check func() error, emit func(fsa, end int)) (int64, error) {
-	g := segment.Group{
-		Automaton: i,
-		Program:   rs.programs[i],
-		Cfg: engine.Config{
-			KeepOnMatch: rs.opts.KeepOnMatch,
-			Checkpoint:  check,
-			Accel:       rs.opts.accelOn(),
-			Profile:     rs.profileOf(i),
-			Faults:      rs.faults,
-		},
-		MaxFrontier: rs.maxFrontier(),
-	}
-	lazy := rs.plan.strat[i] == StrategyLazyDFA
+// segmentGroup runs default-strategy group i segment-parallel: iMFAnt or
+// lazy-DFA workers per segment plus the sequential boundary stitch. A scan
+// whose boundary carry exceeds the frontier budget completes exactly but
+// pins the group serial for subsequent segmented scans.
+func (rs *Ruleset) segmentGroup(i int, lazy bool, input []byte, bounds []int,
+	check func() error, emit func(fsa, end int)) (execTotals, error) {
+	g := segment.Group{Automaton: i, Program: rs.programs[i], Cfg: rs.engineCfg(i),
+		MaxFrontier: rs.maxFrontier()}
+	g.Cfg.Checkpoint = check
 	if lazy {
-		g.Lazy = rs.lazy[i]
-		g.LazyCfg = lazydfa.Config{
-			KeepOnMatch: rs.opts.KeepOnMatch,
-			MaxStates:   rs.opts.LazyDFAMaxStates,
-			Checkpoint:  check,
-			Accel:       rs.opts.accelOn(),
-			Profile:     rs.profileOf(i),
-			Faults:      rs.faults,
-		}
+		g.Lazy, g.LazyCfg = rs.lazy[i], rs.lazyCfg(i)
+		g.LazyCfg.Checkpoint = check
 	}
 	res, err := segment.Scan(g, input, bounds, emit)
-	n := res.ParallelBytes + res.StitchBytes
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(n)
-	rs.collector.AddMatches(res.Matches)
-	rs.collector.AddAccelScan(res.AccelBytes)
-	rs.collector.AddStrategyBytes(int(rs.plan.strat[i]), n)
-	var fell int64
 	if res.FellBack {
-		fell = 1
 		rs.segSerial[i].Store(true)
 	}
-	rs.collector.AddSegmentScan(int64(res.Segments), fell, res.ParallelBytes, res.StitchBytes)
-	if lazy {
-		rs.collector.AddLazyScan(res.CacheHits, res.CacheMisses, res.Flushes, res.Thrashes)
-	}
-	if err != nil {
-		return 0, err
-	}
-	rs.foldRuleHits(i, res.PerFSA)
-	return res.Matches, nil
-}
-
-// serialDefaultGroup runs default-strategy group i serially inside a
-// segmented scan — the sticky fallback for groups whose boundary frontier
-// blew the budget. Its bytes carry no AddSegmentScan fold, so they land in
-// the derived SerialBytes bucket of the Segment stats partition.
-func (rs *Ruleset) serialDefaultGroup(i int, input []byte, check func() error,
-	emit func(fsa, end int)) (int64, error) {
-	if rs.plan.strat[i] == StrategyLazyDFA {
-		r := lazydfa.NewRunner(rs.lazy[i])
-		res := r.Run(input, lazydfa.Config{
-			KeepOnMatch: rs.opts.KeepOnMatch,
-			MaxStates:   rs.opts.LazyDFAMaxStates,
-			OnMatch:     emit,
-			Checkpoint:  check,
-			Accel:       rs.opts.accelOn(),
-			Profile:     rs.profileOf(i),
-			Faults:      rs.faults,
-		})
-		rs.collector.AddScans(1)
-		rs.collector.AddBytes(int64(res.Symbols))
-		rs.collector.AddMatches(res.Matches)
-		rs.collector.AddAccelScan(res.AccelBytes)
-		rs.collector.AddStrategyBytes(int(StrategyLazyDFA), int64(res.Symbols))
-		var thrash int64
-		if res.Thrashed {
-			thrash = 1
-		}
-		rs.collector.AddLazyScan(res.CacheHits, res.CacheMisses, int64(res.Flushes), thrash)
-		if err := r.Err(); err != nil {
-			return 0, err
-		}
-		rs.foldRuleHits(i, res.PerFSA)
-		return res.Matches, nil
-	}
-	r := engine.NewRunner(rs.programs[i])
-	res := r.Run(input, engine.Config{
-		KeepOnMatch: rs.opts.KeepOnMatch,
-		OnMatch:     emit,
-		Checkpoint:  check,
-		Accel:       rs.opts.accelOn(),
-		Profile:     rs.profileOf(i),
-		Faults:      rs.faults,
-	})
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(int64(res.Symbols))
-	rs.collector.AddMatches(res.Matches)
-	rs.collector.AddAccelScan(res.AccelBytes)
-	rs.collector.AddStrategyBytes(int(StrategyIMFAnt), int64(res.Symbols))
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	rs.foldRuleHits(i, res.PerFSA)
-	return res.Matches, nil
+	return execTotals{strat: rs.plan.strat[i], scans: 1, bytes: res.ParallelBytes + res.StitchBytes,
+		matches: res.Matches, perFSA: res.PerFSA, skipped: res.AccelBytes,
+		segments: int64(res.Segments), segFallbacks: b2i(res.FellBack),
+		parallelBytes: res.ParallelBytes, stitchBytes: res.StitchBytes,
+		lazy: lazy, hits: res.CacheHits, misses: res.CacheMisses, flushes: res.Flushes,
+		thrashes: res.Thrashes, fellBack: res.Thrashes > 0,
+		cachedStates: res.CachedStates, accelStates: res.AccelStates}, err
 }
 
 // segmentACGroup runs pure-AC group i segment-parallel: overlap windows
 // instead of stitching (a match ending in a segment starts at most
 // MaxPatternLen-1 bytes before it), exact by the AC suffix-closure.
 func (rs *Ruleset) segmentACGroup(i int, input []byte, bounds []int,
-	check func() error, emit func(fsa, end int)) (int64, error) {
+	check func() error, emit func(fsa, end int)) (execTotals, error) {
 	res, err := segment.ScanAC(rs.plan.ac[i].m, input, bounds, rs.opts.accelOn(), check, 0, emit)
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(res.ScannedBytes)
-	rs.collector.AddMatches(res.Matches)
-	rs.collector.AddStrategyBytes(int(StrategyAC), res.ScannedBytes)
-	rs.collector.AddAccelScan(res.SkippedBytes)
-	rs.collector.AddSegmentScan(int64(len(bounds)-1), 0, res.ScannedBytes, 0)
-	if err != nil {
-		return 0, err
+	var distinct int64
+	for _, n := range res.PerPattern {
+		distinct += b2i(n != 0)
 	}
-	if rs.prefEnabled {
-		var distinct int64
-		for _, n := range res.PerPattern {
-			if n != 0 {
-				distinct++
-			}
-		}
-		rs.collector.AddPrefilterScan(1, distinct, 0, 0)
-	}
-	rs.foldRuleHits(i, res.PerPattern)
-	return res.Matches, nil
-}
-
-// findAllSegmented is FindAll's segment-parallel path: collect every event
-// with rule attribution, then impose the serial report order (end offset,
-// then rule).
-func (rs *Ruleset) findAllSegmented(ctx context.Context, input []byte, parts int) ([]Match, error) {
-	var out []Match
-	_, err := rs.scanSegmented(ctx, input, parts, func(automaton, fsa, end int) {
-		r := rs.programs[automaton].Rules()[fsa]
-		out = append(out, Match{Rule: r.RuleID, Pattern: r.Pattern, End: end})
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].End != out[j].End {
-			return out[i].End < out[j].End
-		}
-		return out[i].Rule < out[j].Rule
-	})
-	return out, nil
+	return execTotals{strat: StrategyAC, scans: 1, bytes: res.ScannedBytes,
+		matches: res.Matches, perFSA: res.PerPattern, skipped: res.SkippedBytes,
+		sweeps: 1, literalHits: distinct,
+		segments: int64(len(bounds) - 1), parallelBytes: res.ScannedBytes}, err
 }

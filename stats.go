@@ -274,41 +274,19 @@ func (l *LazyStats) HitRate() float64 {
 }
 
 // statsFrom converts an internal telemetry snapshot to the public shape.
+// The sections mirror the telemetry types field for field, so most convert
+// directly — a schema drift between the two fails to compile.
 func statsFrom(t telemetry.Stats) Stats {
 	s := Stats{
 		Scans:        t.Scans,
 		BytesScanned: t.BytesScanned,
 		Matches:      t.Matches,
 		RuleHits:     t.RuleHits,
-	}
-	if t.Lazy != nil {
-		s.Lazy = &LazyStats{
-			Automata:     t.Lazy.Automata,
-			CachedStates: t.Lazy.CachedStates,
-			MaxStates:    t.Lazy.MaxStates,
-			ByteClasses:  t.Lazy.ByteClasses,
-			Hits:         t.Lazy.Hits,
-			Misses:       t.Lazy.Misses,
-			Flushes:      t.Lazy.Flushes,
-			Fallbacks:    t.Lazy.Fallbacks,
-		}
-	}
-	if t.Prefilter != nil {
-		s.Prefilter = &PrefilterStats{
-			FilterableRules: t.Prefilter.FilterableRules,
-			Factors:         t.Prefilter.Factors,
-			Sweeps:          t.Prefilter.Sweeps,
-			FactorHits:      t.Prefilter.FactorHits,
-			GroupsSkipped:   t.Prefilter.GroupsSkipped,
-			BytesSaved:      t.Prefilter.BytesSaved,
-		}
-	}
-	if t.Accel != nil {
-		s.Accel = &AccelStats{
-			Automata:     t.Accel.Automata,
-			AccelStates:  t.Accel.AccelStates,
-			BytesSkipped: t.Accel.BytesSkipped,
-		}
+		Lazy:         (*LazyStats)(t.Lazy),
+		Prefilter:    (*PrefilterStats)(t.Prefilter),
+		Accel:        (*AccelStats)(t.Accel),
+		Segment:      (*SegmentStats)(t.Segment),
+		Degraded:     (*DegradedStats)(t.Degraded),
 	}
 	if t.Strategy != nil {
 		ss := &StrategyStats{
@@ -318,69 +296,31 @@ func statsFrom(t telemetry.Stats) Stats {
 			GroupsUngated:  t.Strategy.GroupsUngated,
 		}
 		for _, g := range t.Strategy.Groups {
-			ss.Groups = append(ss.Groups, StrategyGroupStats{
-				Strategy: g.Strategy, Groups: g.Groups, Bytes: g.Bytes,
-			})
+			ss.Groups = append(ss.Groups, StrategyGroupStats(g))
 		}
 		s.Strategy = ss
-	}
-	if t.Segment != nil {
-		s.Segment = &SegmentStats{
-			SegmentedScans: t.Segment.SegmentedScans,
-			Segments:       t.Segment.Segments,
-			Fallbacks:      t.Segment.Fallbacks,
-			ParallelBytes:  t.Segment.ParallelBytes,
-			StitchBytes:    t.Segment.StitchBytes,
-			SerialBytes:    t.Segment.SerialBytes,
-		}
 	}
 	if t.Profile != nil {
 		p := &ProfileStats{
 			Stride:         t.Profile.Stride,
 			Samples:        t.Profile.Samples,
-			ScanLatencyNS:  histStatsFrom(t.Profile.ScanLatencyNS),
-			ChunkLatencyNS: histStatsFrom(t.Profile.ChunkLatencyNS),
-			ActivePairs:    histStatsFrom(t.Profile.ActivePairs),
+			ScanLatencyNS:  (*HistStats)(t.Profile.ScanLatencyNS),
+			ChunkLatencyNS: (*HistStats)(t.Profile.ChunkLatencyNS),
+			ActivePairs:    (*HistStats)(t.Profile.ActivePairs),
 		}
 		for _, h := range t.Profile.HotStates {
-			p.HotStates = append(p.HotStates, HotState{
-				Automaton: h.Automaton, State: h.State,
-				Visits: h.Visits, Share: h.Share, Rules: h.Rules,
-			})
+			p.HotStates = append(p.HotStates, HotState(h))
 		}
 		s.Profile = p
 	}
 	if t.Latency != nil {
 		ls := &LatencyStats{}
 		for _, g := range t.Latency.Stages {
-			ls.Stages = append(ls.Stages, StageLatency{
-				Stage: g.Stage,
-				HistStats: HistStats{Count: g.Count, Mean: g.Mean,
-					P50: g.P50, P90: g.P90, P99: g.P99, Max: g.Max},
-			})
+			ls.Stages = append(ls.Stages, StageLatency{Stage: g.Stage, HistStats: HistStats(g.HistStats)})
 		}
 		s.Latency = ls
 	}
-	if t.Degraded != nil {
-		s.Degraded = &DegradedStats{
-			ScanTimeouts:    t.Degraded.ScanTimeouts,
-			Shed:            t.Degraded.Shed,
-			WorkerPanics:    t.Degraded.WorkerPanics,
-			ThrashFallbacks: t.Degraded.ThrashFallbacks,
-			CacheGrows:      t.Degraded.CacheGrows,
-			PinnedScans:     t.Degraded.PinnedScans,
-		}
-	}
 	return s
-}
-
-// histStatsFrom converts the internal histogram summary; nil passes
-// through.
-func histStatsFrom(h *telemetry.HistStats) *HistStats {
-	if h == nil {
-		return nil
-	}
-	return &HistStats{Count: h.Count, Mean: h.Mean, P50: h.P50, P90: h.P90, P99: h.P99, Max: h.Max}
 }
 
 // Stats returns the ruleset-wide telemetry snapshot: the fold of every scan
@@ -400,94 +340,11 @@ func (rs *Ruleset) StatsVar() expvar.Var {
 }
 
 // Stats returns this scanner's own telemetry: totals over every scan it has
-// executed, including a partial scan still in progress. Not safe for use
-// concurrent with the scanner's scans (the Scanner itself is single-owner).
+// executed, including the completed part of a scan cut short by an error.
+// Not safe for use concurrent with the scanner's scans (the Scanner itself
+// is single-owner).
 func (s *Scanner) Stats() Stats {
-	st := Stats{RuleHits: append([]int64(nil), s.ruleHits...),
-		Degraded: &DegradedStats{ScanTimeouts: s.timeouts}}
-	rs := s.rs
-	var accel *AccelStats
-	if rs.opts.accelOn() {
-		accel = &AccelStats{Automata: len(rs.programs)}
-	}
-	// Top-level totals are the fold of the per-strategy locals — every scan
-	// branch records into exactly one s.strat row, so the rows partition the
-	// totals by construction.
-	for k := range s.strat {
-		st.Scans += s.strat[k].scans
-		st.BytesScanned += s.strat[k].bytes
-		st.Matches += s.strat[k].matches
-	}
-	var l *LazyStats
-	for i := range rs.programs {
-		switch {
-		case s.lazies[i] != nil:
-			r := s.lazies[i]
-			if l == nil {
-				l = &LazyStats{}
-			}
-			l.Automata++
-			t := r.Totals()
-			l.Hits += t.CacheHits
-			l.Misses += t.CacheMisses
-			l.Flushes += t.Flushes
-			l.Fallbacks += t.Fallbacks
-			st.Degraded.CacheGrows += t.Grows
-			st.Degraded.PinnedScans += t.Pins
-			l.CachedStates += int64(r.CachedStates())
-			if m := r.MaxStates(); m > l.MaxStates {
-				l.MaxStates = m
-			}
-			l.ByteClasses += rs.lazy[i].NumClasses()
-			if accel != nil {
-				accel.BytesSkipped += t.AccelBytes
-				accel.AccelStates += int64(r.AccelStates())
-			}
-		case s.runners[i] != nil:
-			if accel != nil {
-				accel.BytesSkipped += s.runners[i].Totals().AccelBytes
-			}
-		case s.acs[i] != nil:
-			if accel != nil {
-				accel.BytesSkipped += s.acs[i].Skipped()
-			}
-		}
-	}
-	if l != nil {
-		if l.MaxStates == 0 {
-			l.MaxStates = lazydfa.ResolveMaxStates(rs.opts.LazyDFAMaxStates)
-		}
-		st.Degraded.ThrashFallbacks = l.Fallbacks
-		st.Lazy = l
-	}
-	st.Strategy = localStrategyStats(rs, s.strat)
-	st.Prefilter = s.pref.stats(rs)
-	st.Accel = accel
-	st.Segment = rs.localSegmentStats(st.BytesScanned)
-	return st
-}
-
-// localStrategyStats builds the Scanner/StreamMatcher-scope planner section:
-// classification outcome from the shared plan, bytes from the owner's local
-// per-strategy totals, and the shared tracker's ungated gauge. The tracker's
-// sweep-disable event counters are ruleset-scope and stay zero here.
-func localStrategyStats(rs *Ruleset, strat [numStrategies]stratTotals) *StrategyStats {
-	pl := rs.plan
-	if pl == nil {
-		return nil
-	}
-	ss := &StrategyStats{Planned: pl.planned, GroupsUngated: rs.tracker.disabledNow()}
-	for k := 0; k < numStrategies; k++ {
-		if pl.counts[k] == 0 {
-			continue
-		}
-		ss.Groups = append(ss.Groups, StrategyGroupStats{
-			Strategy: Strategy(k).String(),
-			Groups:   pl.counts[k],
-			Bytes:    strat[k].bytes,
-		})
-	}
-	return ss
+	return s.local.stats(s.rs, s.execs, nil)
 }
 
 // Stats returns this stream's telemetry, including the in-progress state of
@@ -495,98 +352,114 @@ func localStrategyStats(rs *Ruleset, strat [numStrategies]stratTotals) *Strategy
 // stream counts as one completed scan per automaton). Not safe for use
 // concurrent with Write or Close.
 func (sm *StreamMatcher) Stats() Stats {
-	st := Stats{RuleHits: append([]int64(nil), sm.ruleHits...),
-		Degraded: &DegradedStats{ScanTimeouts: sm.timeouts}}
-	rs := sm.rs
-	var accel *AccelStats
+	l := localStats{ruleHits: make([]int64, len(sm.rs.patterns)), pref: sm.pref, timeouts: sm.timeouts}
+	for i, e := range sm.execs {
+		if !sm.isGated(i) {
+			l.add(sm.rs, i, e.totals())
+		}
+	}
+	return l.stats(sm.rs, sm.execs, sm.gated)
+}
+
+// localStats is one Scanner's or StreamMatcher's own counters: the local
+// half of the fold.
+type localStats struct {
+	strat                           [numStrategies]stratTotals
+	ruleHits                        []int64
+	skipped                         int64
+	hits, misses, flushes, thrashes int64
+	grows, pins                     int64
+	pref                            prefCounters
+	timeouts                        int64 // scans cut short by Options.ScanTimeout
+}
+
+// stratTotals accumulates one owner's activity per strategy; the rows
+// partition the owner's top-level totals.
+type stratTotals struct {
+	scans, bytes, matches int64
+}
+
+// add folds one scan of group i into the local counters.
+func (l *localStats) add(rs *Ruleset, i int, t execTotals) {
+	row := &l.strat[t.strat]
+	row.scans += t.scans
+	row.bytes += t.bytes
+	row.matches += t.matches
+	rules := rs.programs[i].Rules()
+	for fsa, n := range t.perFSA {
+		if id := rules[fsa].RuleID; n != 0 && id >= 0 && id < len(l.ruleHits) {
+			l.ruleHits[id] += n
+		}
+	}
+	l.skipped += t.skipped
+	if rs.prefEnabled {
+		l.pref.sweeps += t.sweeps
+		l.pref.hits += t.literalHits
+	}
+	l.hits += t.hits
+	l.misses += t.misses
+	l.flushes += t.flushes
+	l.thrashes += t.thrashes
+	l.grows += b2i(t.grew)
+	l.pins += b2i(t.pinned)
+}
+
+// stats builds the owner-scope snapshot: the counters folded so far plus
+// the live cache gauges of the owner's executors (those marked in skip
+// excluded).
+func (l *localStats) stats(rs *Ruleset, execs []executor, skip []bool) Stats {
+	st := Stats{RuleHits: append([]int64(nil), l.ruleHits...),
+		Degraded: &DegradedStats{ScanTimeouts: l.timeouts}}
+	for _, row := range l.strat {
+		st.Scans += row.scans
+		st.BytesScanned += row.bytes
+		st.Matches += row.matches
+	}
 	if rs.opts.accelOn() {
-		accel = &AccelStats{Automata: len(rs.programs)}
+		st.Accel = &AccelStats{Automata: len(rs.programs), BytesSkipped: l.skipped}
 	}
-	var strat [numStrategies]stratTotals
-	var l *LazyStats
-	for i := range rs.programs {
-		switch {
-		case sm.engines[i] != nil:
-			if sm.isGated(i) {
-				continue
-			}
-			t := sm.engines[i].Totals()
-			strat[StrategyIMFAnt].scans += t.Scans
-			strat[StrategyIMFAnt].bytes += t.Symbols
-			strat[StrategyIMFAnt].matches += t.Matches
-			if accel != nil {
-				accel.BytesSkipped += t.AccelBytes
-			}
-		case sm.lazies[i] != nil:
-			if sm.isGated(i) {
-				continue
-			}
-			r := sm.lazies[i]
-			if l == nil {
-				l = &LazyStats{}
-			}
-			l.Automata++
-			t := r.Totals()
-			strat[StrategyLazyDFA].scans += t.Scans
-			strat[StrategyLazyDFA].bytes += t.Symbols
-			strat[StrategyLazyDFA].matches += t.Matches
-			l.Hits += t.CacheHits
-			l.Misses += t.CacheMisses
-			l.Flushes += t.Flushes
-			l.Fallbacks += t.Fallbacks
-			st.Degraded.CacheGrows += t.Grows
-			st.Degraded.PinnedScans += t.Pins
-			l.CachedStates += int64(r.CachedStates())
-			if m := r.MaxStates(); m > l.MaxStates {
-				l.MaxStates = m
-			}
-			l.ByteClasses += rs.lazy[i].NumClasses()
-			if accel != nil {
-				accel.BytesSkipped += t.AccelBytes
-				accel.AccelStates += int64(r.AccelStates())
-			}
-		case sm.dfaRuns[i] != nil:
-			if sm.isGated(i) {
-				continue
-			}
-			t := sm.dfaRuns[i].Totals()
-			strat[StrategyDFA].scans += t.Scans
-			strat[StrategyDFA].bytes += t.Symbols
-			strat[StrategyDFA].matches += t.Matches
-		case sm.acRuns[i] != nil:
-			// AC groups count like engine streams: one completed scan at
-			// Close, bytes as they are consumed.
-			if sm.closed {
-				strat[StrategyAC].scans++
-			}
-			strat[StrategyAC].bytes += sm.consumed
-			strat[StrategyAC].matches += sm.groupMatches[i]
-			if accel != nil {
-				accel.BytesSkipped += sm.acRuns[i].Skipped()
-			}
-		case sm.anchRuns[i] != nil:
-			if sm.closed {
-				strat[StrategyAnchored].scans++
-			}
-			strat[StrategyAnchored].bytes += sm.consumed
-			strat[StrategyAnchored].matches += sm.groupMatches[i]
+	for i, e := range execs {
+		t := e.totals()
+		if !t.lazy || (skip != nil && skip[i]) {
+			continue
+		}
+		if st.Lazy == nil {
+			st.Lazy = &LazyStats{Hits: l.hits, Misses: l.misses, Flushes: l.flushes, Fallbacks: l.thrashes}
+		}
+		st.Lazy.Automata++
+		st.Lazy.CachedStates += int64(t.cachedStates)
+		st.Lazy.MaxStates = max(st.Lazy.MaxStates, t.maxStates)
+		st.Lazy.ByteClasses += rs.lazy[i].NumClasses()
+		if st.Accel != nil {
+			st.Accel.AccelStates += int64(t.accelStates)
 		}
 	}
-	for k := range strat {
-		st.Scans += strat[k].scans
-		st.BytesScanned += strat[k].bytes
-		st.Matches += strat[k].matches
-	}
-	if l != nil {
-		if l.MaxStates == 0 {
-			l.MaxStates = lazydfa.ResolveMaxStates(rs.opts.LazyDFAMaxStates)
+	if st.Lazy != nil {
+		if st.Lazy.MaxStates == 0 {
+			st.Lazy.MaxStates = lazydfa.ResolveMaxStates(rs.opts.LazyDFAMaxStates)
 		}
-		st.Degraded.ThrashFallbacks = l.Fallbacks
-		st.Lazy = l
+		st.Degraded.ThrashFallbacks = l.thrashes
+		st.Degraded.CacheGrows = l.grows
+		st.Degraded.PinnedScans = l.pins
 	}
-	st.Strategy = localStrategyStats(rs, strat)
-	st.Prefilter = sm.pref.stats(rs)
-	st.Accel = accel
-	st.Segment = rs.localSegmentStats(st.BytesScanned)
+	// The planner section: classification outcome from the shared plan,
+	// bytes from the local rows, and the shared tracker's ungated gauge (its
+	// sweep-disable event counters are ruleset-scope and stay zero here).
+	st.Strategy = &StrategyStats{Planned: rs.plan.planned, GroupsUngated: rs.tracker.disabledNow()}
+	for k, row := range l.strat {
+		if n := rs.plan.counts[k]; n > 0 {
+			st.Strategy.Groups = append(st.Strategy.Groups,
+				StrategyGroupStats{Strategy: Strategy(k).String(), Groups: n, Bytes: row.bytes})
+		}
+	}
+	if rs.prefEnabled {
+		st.Prefilter = &PrefilterStats{FilterableRules: rs.prefRules, Factors: rs.prefFactors,
+			Sweeps: l.pref.sweeps, FactorHits: l.pref.hits,
+			GroupsSkipped: l.pref.skipped, BytesSaved: l.pref.saved}
+	}
+	if rs.opts.Segment != SegmentOff {
+		// Owner scopes never segment: every byte is serial.
+		st.Segment = &SegmentStats{SerialBytes: st.BytesScanned}
+	}
 	return st
 }
